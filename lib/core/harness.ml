@@ -178,13 +178,15 @@ let run_grid config engines_of_nodes ~node_counts ~queries ~sizes =
       (Format.asprintf "%a" Engine.pp_outcome c.outcome);
     c
   in
-  if Gb_par.Pool.jobs () > 1 && not (Gb_obs.Obs.enabled ()) then
+  if Gb_par.Pool.jobs () > 1 && not (Gb_obs.Obs.enabled ()) then begin
+    (* Forced here, once: lanes forcing it together raise Lazy.Undefined. *)
+    let budget = Lazy.force budget in
     Gb_par.Pool.map_list
       (fun ((_, ds, _, _, _) as spec) ->
-        Gb_par.Budget.with_reservation (Lazy.force budget)
-          ~bytes:(cell_bytes ds)
-          (fun () -> run spec))
+        Gb_par.Budget.with_reservation budget ~bytes:(cell_bytes ds) (fun () ->
+            run spec))
       specs
+  end
   else List.map run specs
 
 let single_node_cells config =

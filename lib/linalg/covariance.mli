@@ -11,10 +11,17 @@ val matrix : Mat.t -> Mat.t
 val matrix_naive : Mat.t -> Mat.t
 (** Same result through the untuned triple loop (the no-BLAS engines). *)
 
-val pairs_above : Mat.t -> float -> (int * int * float) list
-(** [pairs_above c t] lists the strictly-upper-triangle pairs [(i, j, cov)]
-    with [|cov| >= t], descending by absolute covariance. *)
-
 val top_fraction : Mat.t -> float -> (int * int * float) list
 (** [top_fraction c q] keeps the top fraction [q] (e.g. [0.1] for the
-    paper's "top 10%") of upper-triangle pairs by absolute covariance. *)
+    paper's "top 10%") of the [P = n(n-1)/2] strictly-upper-triangle pairs
+    [(i, j, c_ij)] of the [n]-column matrix [c], by absolute covariance.
+
+    It keeps [min P (max 1 ⌈qP⌉)] pairs, ordered by [|c_ij|] descending
+    under [Float.compare] (so NaN comes last), with ties broken by
+    [(i, j)] descending. Goldens depend on this order. Fewer than two
+    columns give [[]].
+
+    Selects the cut-off value in expected linear time and sorts only the
+    kept pairs.
+
+    @raise Invalid_argument if [q] is NaN or outside [(0, 1]]. *)

@@ -282,6 +282,24 @@ let test_covariance_top_fraction () =
   in
   Alcotest.(check bool) "descending |cov|" (desc abs3) true
 
+let test_top_fraction_rejects_q () =
+  let c = Covariance.matrix (Mat.random (rng ()) 10 4) in
+  List.iter
+    (fun (q, msg) ->
+      Alcotest.check_raises (Printf.sprintf "q = %g" q) (Invalid_argument msg)
+        (fun () -> ignore (Covariance.top_fraction c q)))
+    [
+      (Float.nan, "Covariance.top_fraction: q = nan not in (0, 1]");
+      (0., "Covariance.top_fraction: q = 0 not in (0, 1]");
+      (-0.1, "Covariance.top_fraction: q = -0.1 not in (0, 1]");
+      (1.5, "Covariance.top_fraction: q = 1.5 not in (0, 1]");
+      (Float.infinity, "Covariance.top_fraction: q = inf not in (0, 1]");
+    ];
+  (* the check comes before the column count *)
+  Alcotest.check_raises "q = 0 on one column"
+    (Invalid_argument "Covariance.top_fraction: q = 0 not in (0, 1]") (fun () ->
+      ignore (Covariance.top_fraction (Mat.create 1 1) 0.))
+
 (* --- QCheck properties --- *)
 
 let mat_gen =
@@ -392,6 +410,7 @@ let suite =
     ("covariance naive matches", `Quick, test_covariance_naive_matches);
     ("covariance psd", `Quick, test_covariance_psd);
     ("covariance top fraction", `Quick, test_covariance_top_fraction);
+    ("top fraction rejects bad q", `Quick, test_top_fraction_rejects_q);
     ("randomized svd low rank", `Quick, test_randomized_svd_low_rank);
     ("randomized svd close to exact", `Quick, test_randomized_svd_close_to_exact);
     ("covariance sampling", `Quick, test_covariance_sample_unbiased_shape);

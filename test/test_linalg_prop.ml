@@ -1,6 +1,7 @@
 (* Property-based checks on the linear-algebra kernels: QR orthogonality,
-   SVD reconstruction, and Lanczos against the dense Jacobi eigensolver on
-   random symmetric matrices. *)
+   SVD reconstruction, Lanczos against the dense Jacobi eigensolver on
+   random symmetric matrices, and Q2's top-fraction selection against the
+   full stable sort it replaced. *)
 
 module Mat = Gb_linalg.Mat
 module Blas = Gb_linalg.Blas
@@ -8,6 +9,7 @@ module Qr = Gb_linalg.Qr
 module Svd = Gb_linalg.Svd
 module Lanczos = Gb_linalg.Lanczos
 module Eigen = Gb_linalg.Eigen
+module Covariance = Gb_linalg.Covariance
 module Prng = Gb_util.Prng
 
 let seed_gen = QCheck.Gen.(map Int64.of_int (int_range 1 1_000_000))
@@ -247,6 +249,76 @@ let prop_moments_downdate =
       let d = Mat.max_abs_diff (Moments.covariance sk) (Moments.covariance direct) in
       if d < 1e-9 then true else QCheck.Test.fail_reportf "cov diff %g" d)
 
+(* The original Q2 shaping, kept here as the oracle: every upper-triangle
+   pair consed in generation order (so the list is latest-first), then a
+   stable sort by |v| descending, then the first [keep]. *)
+let top_fraction_by_sort c q =
+  let n = c.Mat.cols in
+  let all = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      all := (i, j, Mat.unsafe_get c i j) :: !all
+    done
+  done;
+  let sorted =
+    List.stable_sort
+      (fun (_, _, a) (_, _, b) -> Float.compare (Float.abs b) (Float.abs a))
+      !all
+  in
+  let keep = max 1 (int_of_float (ceil (q *. float_of_int (List.length sorted)))) in
+  List.filteri (fun i _ -> i < keep) sorted
+
+(* Square matrices of 0-40 columns whose entries are mostly small integers
+   (so |v| ties are everywhere), with NaN, -0.0 and 0.0 mixed in. *)
+let arb_top_fraction =
+  let entry =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, int_range (-3) 3 >|= float_of_int);
+          (1, return Float.nan);
+          (1, return (-0.));
+          (1, return 0.);
+          (1, float_range (-10.) 10.);
+        ])
+  in
+  let q =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 1e-6);
+          (3, float_bound_exclusive 1. >|= fun x -> 1. -. x);
+          (1, return 1.);
+        ])
+  in
+  QCheck.make
+    ~print:(fun (n, cells, q) ->
+      Printf.sprintf "n=%d q=%h [%s]" n q
+        (String.concat "; "
+           (Array.to_list (Array.map (Printf.sprintf "%h") cells))))
+    QCheck.Gen.(
+      int_range 0 40 >>= fun n ->
+      array_size (return (n * n)) entry >>= fun cells ->
+      q >|= fun q -> (n, cells, q))
+
+let prop_top_fraction_matches_sort =
+  QCheck.Test.make ~name:"top_fraction equals the stable full sort, bitwise"
+    ~count:300 arb_top_fraction (fun (n, cells, q) ->
+      let c = Mat.init n n (fun i j -> cells.((i * n) + j)) in
+      let bits = List.map (fun (i, j, v) -> (i, j, Int64.bits_of_float v)) in
+      let expected = bits (top_fraction_by_sort c q)
+      and got = bits (Covariance.top_fraction c q) in
+      if got = expected then true
+      else
+        QCheck.Test.fail_reportf
+          "%d pairs expected, %d returned; first difference at %d"
+          (List.length expected) (List.length got)
+          (let rec first i = function
+             | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else i
+             | _ -> i
+           in
+           first 0 (expected, got)))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -260,4 +332,5 @@ let suite =
       prop_parallel_covariance_conforms;
       prop_moments_merge_covariance;
       prop_moments_downdate;
+      prop_top_fraction_matches_sort;
     ]
