@@ -789,30 +789,30 @@ let bench_diff_cmd =
 (* --- serve / load --- *)
 
 (* Queue-policy flag: the conv rejects unknown names with a usage error
-   and the accepted set is derived from Server.policies, so the flag's
+   and the accepted set is derived from Admission.policies, so the flag's
    doc can never drift from the implementation. *)
 let policy_conv =
   let parse s =
-    match Gb_serve.Server.policy_of_string s with
+    match Gb_serve.Admission.policy_of_string s with
     | Ok p -> Ok p
     | Error msg -> Error (`Msg msg)
   in
   let print fmt p =
-    Format.pp_print_string fmt (Gb_serve.Server.policy_to_string p)
+    Format.pp_print_string fmt (Gb_serve.Admission.policy_to_string p)
   in
   Arg.conv (parse, print)
 
 let policy_arg =
   Arg.(
     value
-    & opt policy_conv Gb_serve.Server.Fifo
+    & opt policy_conv Gb_serve.Admission.Fifo
     & info [ "queue-policy" ] ~docv:"POLICY"
         ~doc:
           (Printf.sprintf "Admission queue discipline: %s."
              (String.concat " or "
                 (List.map
                    (fun (n, _) -> Printf.sprintf "$(b,%s)" n)
-                   Gb_serve.Server.policies))))
+                   Gb_serve.Admission.policies))))
 
 (* Deadline flag: non-numeric, zero and negative values are usage
    errors, not runtime surprises. *)
@@ -1576,6 +1576,17 @@ let list_cmd =
     Term.(const run $ const ())
 
 let () =
+  (* The memory budget is read lazily deep inside grids and servers;
+     reject a bad value before any command starts rather than fall back
+     to the library's default with only a warning. *)
+  (match Sys.getenv_opt Genbase.Harness.budget_env_var with
+  | None -> ()
+  | Some s -> (
+    match Genbase.Harness.parse_budget_mb s with
+    | Ok _ -> ()
+    | Error msg ->
+      Printf.eprintf "genbase: %s: %s\n" Genbase.Harness.budget_env_var msg;
+      exit 2));
   let info =
     Cmd.info "genbase" ~version:"1.0.0"
       ~doc:"The GenBase complex-analytics genomics benchmark."

@@ -134,16 +134,33 @@ let multi_node_engines ~nodes =
    peak-working-set estimate from its expression matrix (engines copy,
    center and factorize it a handful of times) plus a fixed overhead for
    the relational stores. Oversized cells still run — alone. *)
+let budget_env_var = "GENBASE_MEMORY_BUDGET_MB"
+
+let mib = 1024 * 1024
+
+let parse_budget_mb s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 && n <= max_int / mib -> Ok n
+  | Some n ->
+    Error
+      (Printf.sprintf "memory budget must be 1..%d MiB, got %d"
+         (max_int / mib) n)
+  | None -> Error (Printf.sprintf "memory budget %S is not an integer" s)
+
 let budget =
   lazy
     (let mb =
-       match Sys.getenv_opt "GENBASE_MEMORY_BUDGET_MB" with
-       | Some s -> ( match int_of_string_opt (String.trim s) with
-         | Some n when n > 0 -> n
-         | _ -> 4096)
+       match Sys.getenv_opt budget_env_var with
        | None -> 4096
+       | Some s -> (
+         match parse_budget_mb s with
+         | Ok n -> n
+         | Error msg ->
+           (* Library fallback only: the CLI rejects the variable up front. *)
+           Printf.eprintf "warning: ignoring %s: %s\n%!" budget_env_var msg;
+           4096)
      in
-     Gb_par.Budget.create ~bytes:(mb * 1024 * 1024))
+     Gb_par.Budget.create ~bytes:(mb * mib))
 
 let cell_bytes ds =
   let rows, cols = Gb_linalg.Mat.dims ds.Gb_datagen.Generate.expression in

@@ -49,11 +49,20 @@ val default_config : config
 val quick_config : config
 (** Small size only and a short timeout, for tests and demos. *)
 
+val budget_env_var : string
+(** ["GENBASE_MEMORY_BUDGET_MB"]. *)
+
+val parse_budget_mb : string -> (int, string) result
+(** Validate a memory-budget string in MiB: integers from 1 up to the
+    largest whose byte count fits an [int] are [Ok]; zero, negatives,
+    overflowing and non-numeric input yield [Error msg]. *)
+
 val memory_budget : unit -> Gb_par.Budget.t
 (** The process-wide byte budget throttling concurrent cells, sized from
-    [GENBASE_MEMORY_BUDGET_MB] (default 4 GiB). Shared with the serving
-    layer so interactive queries and batch grids are admitted against
-    the same capacity. *)
+    a valid [GENBASE_MEMORY_BUDGET_MB], else 4 GiB (an invalid value is
+    reported once on stderr). Shared with the serving layer so
+    interactive queries and batch grids are admitted against the same
+    capacity. *)
 
 val cell_bytes : Dataset.t -> int
 (** Peak-working-set estimate charged against {!memory_budget} for one

@@ -1,18 +1,30 @@
-(** Wall-clock serving: the simulated server's admission pipeline
-    (bounded FIFO/SJF queue, per-engine circuit breakers, memory budget,
-    deadlines) around real engine executions on a pool of worker
-    domains.
+(** Wall-clock serving: the {!Admission} core, the same one {!Server}
+    simulates, driven from a pool of worker domains around real engine
+    executions.
+
+    The shed decisions, queue discipline, breakers, responses and their
+    telemetry are the simulation's by construction. Three things differ
+    on purpose:
+    - Memory: a worker takes the request off the queue, then blocks on
+      {!Gb_par.Budget.reserve}; a request whose deadline passes while it
+      waits is answered [Deadline_exceeded `Queued] without executing.
+      Memory admission shares {!Genbase.Harness.memory_budget} with
+      batch grids by default.
+    - Clock and trace track: wall seconds since {!create}; instants go
+      to the wall track, and a queued expiry is stamped when a worker's
+      sweep observes it.
+    - Engine outcomes: [Completed]/[Degraded] are served, [Timed_out] is
+      [Deadline_exceeded `Running], anything else is [Served Failed_];
+      the breaker counts [Unsupported] as healthy.
 
     Deadlines are enforced cooperatively: the remaining budget is passed
     to {!Genbase.Engine.run}, which arms {!Gb_util.Deadline.Ambient} so
-    kernel checkpoints abort overrunning queries as [Timed_out] →
-    [Deadline_exceeded `Running]. Memory admission shares
-    {!Genbase.Harness.memory_budget} with batch grids by default. *)
+    kernel checkpoints abort overrunning queries. *)
 
 type config = {
   lanes : int;  (** worker domains executing queries *)
   queue_depth : int;
-  policy : Server.policy;
+  policy : Admission.policy;
   breaker : Breaker.config;
   budget : Gb_par.Budget.t;
 }
@@ -42,15 +54,16 @@ val submit :
     over-capacity working set resolve the handle immediately with the
     corresponding [Shed] (retry-after hints included); otherwise the
     query queues for a lane. Raises [Invalid_argument] after
-    {!shutdown}.
+    {!shutdown}, before the request is counted anywhere.
 
     [?trace] links this submission to an existing trace (a client
     resubmitting a shed request passes the first attempt's trace id);
     defaults to a fresh id. With tracing enabled every submission emits
-    a wall-track [serve.admit] instant carrying the decision, and
-    executions attach the trace id to their [serve.exec] span; with
-    telemetry enabled the labeled [genbase_serve_*] families are fed the
-    same way as the simulated server's. *)
+    a wall-track [serve.admit] instant carrying the decision, a queued
+    expiry a [serve.expire] instant, and executions attach the trace id
+    to their [serve.exec] span; with telemetry enabled the core feeds
+    the labeled [genbase_serve_*] families exactly as for the simulated
+    server. *)
 
 val await : handle -> Outcome.response
 (** Block until the submission resolves. [engine_outcome] carries the

@@ -89,7 +89,7 @@ type config = {
   engines : string list;
   lanes : int;
   queue_depth : int;
-  policy : Server.policy;
+  policy : Admission.policy;
   mem_bytes : int option;  (** [None]: lanes x the largest working set *)
   deadline_factor : float;  (** deadline = factor x mean service time *)
   retry_budget_factor : float;  (** client budget = factor x deadline *)
@@ -108,7 +108,7 @@ let default_config scenario =
     engines = default_engines;
     lanes = 4;
     queue_depth = 16;
-    policy = Server.Fifo;
+    policy = Admission.Fifo;
     mem_bytes = None;
     deadline_factor = 8.;
     retry_budget_factor = 3.;
@@ -260,16 +260,15 @@ let run_with ?(observe = fun (_ : Outcome.response) -> ()) cfg =
   in
   let next_id = ref 0 in
   let fresh_id () = incr next_id; !next_id in
-  let make ~key ~attempt ~arrival =
+  let request ~key ?trace ~attempt ~arrival j =
     let id = fresh_id () in
-    let j = job_table.(Prng.int mix_prng (Array.length job_table)) in
     {
       Server.id;
       key;
-      (* A first attempt opens its own trace; retries (remake) carry the
-         original trace forward, which is what links every span of one
-         logical request in the Chrome export. *)
-      trace = id;
+      (* A first attempt opens its own trace; retries carry the original
+         trace forward, which is what links every span of one logical
+         request in the Chrome export. *)
+      trace = Option.value trace ~default:id;
       attempt;
       engine = j.j_engine;
       query = j.j_query;
@@ -280,28 +279,18 @@ let run_with ?(observe = fun (_ : Outcome.response) -> ()) cfg =
       fail = Gb_fault.Fault.task_failures plan ~job:id > 0;
     }
   in
+  let make ~key ~attempt ~arrival =
+    request ~key ~attempt ~arrival
+      job_table.(Prng.int mix_prng (Array.length job_table))
+  in
   (* Retries resubmit the same logical job, so they reuse the original
      request's cost rather than re-rolling the mix. *)
   let remake (r : Outcome.response) ~arrival =
-    let id = fresh_id () in
-    {
-      Server.id;
-      key = r.Outcome.key;
-      trace = r.Outcome.trace;
-      attempt = r.Outcome.attempt + 1;
-      engine = r.Outcome.engine;
-      query = r.Outcome.query;
-      arrival_s = arrival;
-      deadline_s;
-      service_s =
-        (let genes, patients = Spec.paper_dims cfg.size in
-         Estimate.service_s ~engine:r.Outcome.engine ~genes ~patients
-           r.Outcome.query);
-      bytes =
-        (let genes, patients = Spec.paper_dims cfg.size in
-         Estimate.bytes ~genes ~patients r.Outcome.query);
-      fail = Gb_fault.Fault.task_failures plan ~job:id > 0;
-    }
+    request ~key:r.Outcome.key ~trace:r.Outcome.trace
+      ~attempt:(r.Outcome.attempt + 1) ~arrival
+      (List.find
+         (fun j -> j.j_engine = r.Outcome.engine && j.j_query = r.Outcome.query)
+         jobs)
   in
   (* Open-loop arrivals: inhomogeneous Poisson via per-interval rates. *)
   let rate_at t =
@@ -458,10 +447,10 @@ let run_instrumented ?objectives cfg =
    the summary's exact quantiles cover (every [Served _]), so the two
    must agree within the resolution of the buckets involved. *)
 let p99_agreement (s : summary) =
-  match Gb_obs.Telemetry.quantile_agg Server.latency_family 0.99 with
+  match Gb_obs.Telemetry.quantile_agg Admission.latency_family 0.99 with
   | None -> None
   | Some interp ->
-    let width v = Gb_obs.Telemetry.bucket_width Server.latency_family v in
+    let width v = Gb_obs.Telemetry.bucket_width Admission.latency_family v in
     let tolerance = Float.max (width interp) (width s.p99_s) in
     Some (interp, s.p99_s, tolerance)
 

@@ -1,39 +1,25 @@
-(* The overload-safe query server, as a deterministic discrete-event
-   simulation on the sim clock.
+(* The overload-safe query server as a deterministic discrete-event
+   simulation: a driver of the Admission core on the sim clock.
 
-   Pipeline for every request: arrival-time admission (working-set cap,
-   bounded queue, per-engine circuit breaker) -> queue (FIFO or
-   shortest-job-first on the Estimate cost model) -> memory reservation
-   against a Par.Budget -> execution on one of [lanes] lanes, truncated
-   at the request's deadline (the sim analogue of the kernels'
-   cooperative checkpoints). Every path ends in exactly one
-   Outcome.response, so offered load can exceed capacity by any factor
-   while queue depth and reserved memory stay bounded.
+   Admission owns the shed decisions, the FIFO/SJF queue, the breakers
+   and every response. This file owns what only a simulation has: the
+   event heap, the lanes, memory reservation at dispatch against a
+   Par.Budget (a reservation that does not fit keeps its queue place and
+   marks when it first blocked), and execution truncated at the
+   request's deadline, the sim analogue of the kernels' cooperative
+   checkpoints.
 
    Determinism: events are ordered by (time, insertion seq); service
    times, breaker transitions and retry-driven re-arrivals are all pure
    functions of the inputs, so a run replays bit-for-bit. *)
 
 module Sim = Gb_util.Clock.Sim
-
-type policy = Fifo | Sjf
-
-let policies = [ ("fifo", Fifo); ("sjf", Sjf) ]
-
-let policy_to_string = function Fifo -> "fifo" | Sjf -> "sjf"
-
-let policy_of_string s =
-  match List.assoc_opt (String.lowercase_ascii (String.trim s)) policies with
-  | Some p -> Ok p
-  | None ->
-    Error
-      (Printf.sprintf "unknown queue policy %S (expected %s)" s
-         (String.concat " or " (List.map fst policies)))
+module Obs = Gb_obs.Obs
 
 type config = {
   lanes : int;
   queue_depth : int;
-  policy : policy;
+  policy : Admission.policy;
   mem_bytes : int;
   breaker : Breaker.config;
 }
@@ -42,7 +28,7 @@ let default_config =
   {
     lanes = 4;
     queue_depth = 16;
-    policy = Fifo;
+    policy = Admission.Fifo;
     mem_bytes = 4096 * 1024 * 1024;
     breaker = Breaker.default_config;
   }
@@ -69,17 +55,15 @@ type stats = {
 
 (* --- internal state --- *)
 
-type queued = {
-  req : request;
-  seq : int;
-  deadline_at : float;
+type pending = {
+  fail : bool;
   mutable mem_blocked_at : float option;
       (** first dispatch attempt that failed memory reservation — the
           start of the queue wait's memory-budget tail *)
 }
 
 type running = {
-  r_req : request;
+  entry : pending Admission.entry;
   started_s : float;
   reserved : int;
   cancelled : bool;  (** finish event is the deadline, not completion *)
@@ -89,44 +73,27 @@ type ev = Arrive of request | Finish of int  (** lane *)
 
 type event = { at : float; eseq : int; ev : ev }
 
-let c_requests = Gb_obs.Metric.counter "serve.requests"
-let c_served = Gb_obs.Metric.counter "serve.served"
-let c_failed = Gb_obs.Metric.counter "serve.failed"
-let c_shed = Gb_obs.Metric.counter "serve.shed"
-let c_deadline = Gb_obs.Metric.counter "serve.deadline_exceeded"
-let h_queue_wait = Gb_obs.Metric.histogram ~unit_:"s" "serve.queue_wait"
+(* The request's identity on its queue and exec spans. *)
+let span_attrs (r : Admission.request) =
+  [
+    ("trace", Obs.Int r.trace);
+    ("id", Obs.Int r.id);
+    ("attempt", Obs.Int r.attempt);
+    ("engine", Obs.Str r.engine);
+  ]
 
-(* Labeled live families (telemetry flag, independent of the span flag).
-   Latency is observed for every [Served _] response — the same set
-   Loadgen's exact post-hoc percentiles cover, which is what makes the
-   interpolated p99 comparable to the summary's p99 within one bucket
-   width. *)
-module Tele = Gb_obs.Telemetry
-
-let f_requests =
-  Tele.counter_family ~help:"Requests arriving at the server"
-    "genbase_serve_requests_total"
-
-let f_responses =
-  Tele.counter_family ~help:"Responses by final disposition"
-    "genbase_serve_responses_total"
-
-let f_latency =
-  Tele.hist_family ~help:"End-to-end latency of served requests (seconds)"
-    "genbase_serve_latency_seconds"
-
-let f_queue_wait =
-  Tele.hist_family ~help:"Queue wait before execution (seconds)"
-    "genbase_serve_queue_wait_seconds"
-
-let g_queue_depth =
-  Tele.gauge_family ~help:"Admission-queue depth" "genbase_serve_queue_depth"
-
-let g_mem =
-  Tele.gauge_family ~help:"Reserved working-set bytes"
-    "genbase_serve_mem_reserved_bytes"
-
-let latency_family = f_latency
+let admission_request (r : request) =
+  {
+    Admission.id = r.id;
+    key = r.key;
+    trace = r.trace;
+    attempt = r.attempt;
+    engine = r.engine;
+    query = r.query;
+    deadline_s = r.deadline_s;
+    service_s = r.service_s;
+    bytes = r.bytes;
+  }
 
 let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
   if config.lanes < 1 then invalid_arg "Server.run: lanes";
@@ -134,15 +101,6 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
   let clock = Sim.create () in
   let now () = Sim.now clock in
   let budget = Gb_par.Budget.create ~bytes:(max 1 config.mem_bytes) in
-  let breakers : (string, Breaker.t) Hashtbl.t = Hashtbl.create 8 in
-  let breaker engine =
-    match Hashtbl.find_opt breakers engine with
-    | Some b -> b
-    | None ->
-      let b = Breaker.create ~config:config.breaker ~now engine in
-      Hashtbl.add breakers engine b;
-      b
-  in
   let events = Gb_util.Heap.create ~cmp:(fun a b ->
       match Float.compare a.at b.at with 0 -> compare a.eseq b.eseq | c -> c)
   in
@@ -151,250 +109,72 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
     incr eseq;
     Gb_util.Heap.push events { at; eseq = !eseq; ev }
   in
-  let queue : queued list ref = ref [] in
-  let qseq = ref 0 in
   let lanes : running option array = Array.make config.lanes None in
   let responses = ref [] in
   let max_queue_len = ref 0 and max_mem_used = ref 0 in
-  let respond (resp : Outcome.response) =
-    responses := resp :: !responses;
-    (* Flight-recorder taps: per-response tail-sampling decision, shed
-       spike detection. One atomic load each while not recording. *)
-    (match resp.Outcome.disposition with
-    | Outcome.Shed _ -> Gb_obs.Recorder.observe_shed ~now:resp.Outcome.finished_s
-    | _ -> ());
-    Gb_obs.Recorder.observe_response ~trace:resp.Outcome.trace
-      ~latency_s:(Outcome.latency_s resp)
-      ~ok:
-        (match resp.Outcome.disposition with
-        | Outcome.Served (Outcome.Ok_ | Outcome.Degraded_) -> true
-        | _ -> false)
-      ~now:resp.Outcome.finished_s;
-    (match resp.Outcome.disposition with
-    | Outcome.Served (Outcome.Ok_ | Outcome.Degraded_) ->
-      Gb_obs.Metric.add c_served 1
-    | Outcome.Served Outcome.Failed_ -> Gb_obs.Metric.add c_failed 1
-    | Outcome.Shed _ -> Gb_obs.Metric.add c_shed 1
-    | Outcome.Deadline_exceeded _ -> Gb_obs.Metric.add c_deadline 1);
-    if Tele.enabled () then begin
-      let labels =
-        [
-          ("engine", resp.Outcome.engine);
-          ("query", Genbase.Query.name resp.Outcome.query);
-        ]
-      in
-      Tele.incr f_responses (("disposition", Outcome.label resp) :: labels);
-      match resp.Outcome.disposition with
-      | Outcome.Served _ ->
-        Tele.observe f_latency labels (Outcome.latency_s resp)
-      | Outcome.Shed _ | Outcome.Deadline_exceeded _ -> ()
-    end;
-    List.iter
-      (fun (r : request) ->
-        push_event (Float.max r.arrival_s resp.Outcome.finished_s) (Arrive r))
-      (on_response resp)
+  let adm =
+    Admission.create ~clock:(Admission.Sim now) ~lanes:config.lanes
+      ~queue_depth:config.queue_depth ~policy:config.policy
+      ~breaker:config.breaker ~mem_capacity:config.mem_bytes
+      ~deliver:(fun _ resp ->
+        responses := resp :: !responses;
+        List.iter
+          (fun (r : request) ->
+            push_event (Float.max r.arrival_s resp.Outcome.finished_s) (Arrive r))
+          (on_response resp))
   in
-  let base_response ?(retry_after = None) ?(finished = now ()) ?(wait = 0.)
-      ?(exec = 0.) (r : request) disposition =
-    {
-      Outcome.id = r.id;
-      key = r.key;
-      trace = r.trace;
-      attempt = r.attempt;
-      engine = r.engine;
-      query = r.query;
-      submitted_s = r.arrival_s;
-      finished_s = finished;
-      queue_wait_s = wait;
-      exec_s = exec;
-      disposition;
-      retry_after_s = retry_after;
-      engine_outcome = None;
-    }
-  in
-  (* Hint accompanying a queue-full shed: roughly one drain of the
-     current backlog across the lanes. *)
-  let drain_estimate () =
-    let backlog =
-      List.fold_left (fun acc q -> acc +. q.req.service_s) 0. !queue
-    in
-    Float.max 0.05 (backlog /. float_of_int config.lanes)
-  in
-  let free_lane () =
-    let rec go i =
-      if i >= Array.length lanes then None
-      else if lanes.(i) = None then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  (* Expire queued entries whose deadline passed before they reached a
-     lane. Judged lazily at dispatch points; the response is stamped at
-     the deadline instant the entry actually died. *)
-  let sweep_expired () =
-    let t = now () in
-    let expired, live =
-      List.partition (fun q -> q.deadline_at < t) !queue
-    in
-    queue := live;
-    List.iter
-      (fun q ->
-        Breaker.abandon (breaker q.req.engine);
-        if Gb_obs.Obs.active () then
-          Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:q.deadline_at
-            ~attrs:
-              [
-                ("trace", Gb_obs.Obs.Int q.req.trace);
-                ("id", Gb_obs.Obs.Int q.req.id);
-                ("engine", Gb_obs.Obs.Str q.req.engine);
-              ]
-            ~name:"serve.expire" ();
-        respond
-          (base_response q.req
-             ~finished:q.deadline_at
-             ~wait:(q.deadline_at -. q.req.arrival_s)
-             (Outcome.Deadline_exceeded `Queued)))
-      expired;
-    if Tele.enabled () then
-      Tele.set g_queue_depth [] (float_of_int (List.length !queue))
-  in
-  (* Queue discipline: FIFO takes the oldest entry; SJF the cheapest
-     cost estimate (ties to the oldest, so equal-cost work keeps arrival
-     order and no request starves behind an equal peer). *)
-  let pick_next () =
-    match !queue with
-    | [] -> None
-    | first :: rest ->
-      let better a b =
-        match config.policy with
-        | Fifo -> if b.seq < a.seq then b else a
-        | Sjf ->
-          let c = Float.compare b.req.service_s a.req.service_s in
-          if c < 0 || (c = 0 && b.seq < a.seq) then b else a
-      in
-      Some (List.fold_left better first rest)
-  in
-  let dispatch () =
-    let continue_ = ref true in
-    while !continue_ do
-      continue_ := false;
-      sweep_expired ();
-      match free_lane () with
+  let rec dispatch () =
+    Admission.sweep adm;
+    match Array.find_index Option.is_none lanes with
+    | None -> ()
+    | Some lane -> (
+      match Admission.head adm with
       | None -> ()
-      | Some lane -> (
-        match pick_next () with
-        | None -> ()
-        | Some q -> (
-          (* Memory admission: the pipeline's Par.Budget stage. A
-             reservation that does not fit right now keeps its place in
-             the queue — execution, not queueing, is what the budget
-             bounds — and the next Finish retries the dispatch. *)
-          match Gb_par.Budget.try_reserve budget ~bytes:q.req.bytes with
-          | None -> if q.mem_blocked_at = None then q.mem_blocked_at <- Some (now ())
-          | Some reserved ->
-            queue := List.filter (fun q' -> q'.seq <> q.seq) !queue;
-            max_mem_used := max !max_mem_used (Gb_par.Budget.used budget);
-            if Tele.enabled () then begin
-              Tele.set g_queue_depth [] (float_of_int (List.length !queue));
-              Tele.set g_mem [] (float_of_int (Gb_par.Budget.used budget));
-              Tele.observe f_queue_wait
-                [
-                  ("engine", q.req.engine);
-                  ("query", Genbase.Query.name q.req.query);
-                ]
-                (now () -. q.req.arrival_s)
-            end;
-            let t = now () in
-            let completes_at = t +. q.req.service_s in
-            (* Cooperative cancellation, sim form: finishing strictly
-               after the deadline means the checkpoint fires at the
-               deadline instant; finishing exactly on it is a served
-               query (Deadline.expired is a strict comparison). *)
-            let cancelled = completes_at > q.deadline_at in
-            let finish_at = if cancelled then q.deadline_at else completes_at in
-            lanes.(lane) <-
-              Some { r_req = q.req; started_s = t; reserved; cancelled };
-            if Gb_obs.Obs.active () then begin
-              Gb_obs.Metric.observe h_queue_wait (t -. q.req.arrival_s);
-              (* The tail of the wait spent blocked on the memory budget
-                 rides along so the critical-path analyzer can split
-                 queue wait from memory wait. *)
-              let mem_attr =
-                match q.mem_blocked_at with
-                | Some b when t > b -> [ ("mem_wait_s", Gb_obs.Obs.Float (t -. b)) ]
-                | _ -> []
-              in
-              Gb_obs.Obs.Span.emit ~cat:"serve" ~name:"queue"
-                ~attrs:
-                  ([
-                     ("trace", Gb_obs.Obs.Int q.req.trace);
-                     ("id", Gb_obs.Obs.Int q.req.id);
-                     ("attempt", Gb_obs.Obs.Int q.req.attempt);
-                     ("engine", Gb_obs.Obs.Str q.req.engine);
-                   ]
-                  @ mem_attr)
-                ~tid:0 ~t0:q.req.arrival_s ~t1:t ()
-            end;
-            push_event finish_at (Finish lane);
-            continue_ := true))
-    done
+      | Some e -> (
+        (* Memory admission: the pipeline's Par.Budget stage. A
+           reservation that does not fit right now keeps its place in
+           the queue — execution, not queueing, is what the budget
+           bounds — and the next Finish retries the dispatch. *)
+        match Gb_par.Budget.try_reserve budget ~bytes:e.req.bytes with
+        | None ->
+          if e.payload.mem_blocked_at = None then
+            e.payload.mem_blocked_at <- Some (now ())
+        | Some reserved ->
+          Admission.take adm e;
+          max_mem_used := max !max_mem_used (Gb_par.Budget.used budget);
+          Admission.mem_reserved (Gb_par.Budget.used budget);
+          let t = now () in
+          let completes_at = t +. e.req.service_s in
+          (* Cooperative cancellation, sim form: finishing strictly
+             after the deadline means the checkpoint fires at the
+             deadline instant; finishing exactly on it is a served
+             query (Deadline.expired is a strict comparison). *)
+          let cancelled = completes_at > e.deadline_at in
+          let finish_at = if cancelled then e.deadline_at else completes_at in
+          lanes.(lane) <- Some { entry = e; started_s = t; reserved; cancelled };
+          if Obs.active () then begin
+            (* The tail of the wait spent blocked on the memory budget
+               rides along so the critical-path analyzer can split
+               queue wait from memory wait. *)
+            let mem_attr =
+              match e.payload.mem_blocked_at with
+              | Some b when t > b -> [ ("mem_wait_s", Obs.Float (t -. b)) ]
+              | _ -> []
+            in
+            Obs.Span.emit ~cat:"serve" ~name:"queue"
+              ~attrs:(span_attrs e.req @ mem_attr)
+              ~tid:0 ~t0:e.submitted_s ~t1:t ()
+          end;
+          push_event finish_at (Finish lane);
+          dispatch ()))
   in
   let arrive (r : request) =
-    Gb_obs.Metric.add c_requests 1;
-    if Tele.enabled () then
-      Tele.incr f_requests
-        [ ("engine", r.engine); ("query", Genbase.Query.name r.query) ];
-    (* One instant per arrival carrying the admission decision, linked
-       to the rest of the request's spans by the trace attribute. *)
-    let admit_instant decision =
-      if Gb_obs.Obs.active () then
-        Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:(now ())
-          ~attrs:
-            [
-              ("trace", Gb_obs.Obs.Int r.trace);
-              ("id", Gb_obs.Obs.Int r.id);
-              ("attempt", Gb_obs.Obs.Int r.attempt);
-              ("engine", Gb_obs.Obs.Str r.engine);
-              ("decision", Gb_obs.Obs.Str decision);
-            ]
-          ~name:"serve.admit" ()
-    in
-    let t = now () in
-    if r.bytes > config.mem_bytes then begin
-      (* Could never run next to anything; a batch harness runs such a
-         query alone, a server refuses to stall the fleet for it. *)
-      admit_instant "shed:memory";
-      respond (base_response r (Outcome.Shed Outcome.Memory))
+    let pending = { fail = r.fail; mem_blocked_at = None } in
+    if Admission.arrive adm ~submitted_s:r.arrival_s (admission_request r) pending
+    then begin
+      max_queue_len := max !max_queue_len (Admission.length adm);
+      dispatch ()
     end
-    else if List.length !queue >= config.queue_depth then begin
-      admit_instant "shed:queue_full";
-      respond
-        (base_response r
-           ~retry_after:(Some (drain_estimate ()))
-           (Outcome.Shed Outcome.Queue_full))
-    end
-    else
-      match Breaker.admit (breaker r.engine) with
-      | `Fast_fail retry_after ->
-        admit_instant "shed:breaker_open";
-        respond
-          (base_response r ~retry_after:(Some retry_after)
-             (Outcome.Shed Outcome.Breaker_open))
-      | `Admit ->
-        admit_instant "admitted";
-        incr qseq;
-        queue :=
-          {
-            req = r;
-            seq = !qseq;
-            deadline_at = t +. r.deadline_s;
-            mem_blocked_at = None;
-          }
-          :: !queue;
-        max_queue_len := max !max_queue_len (List.length !queue);
-        if Tele.enabled () then
-          Tele.set g_queue_depth [] (float_of_int (List.length !queue));
-        dispatch ()
   in
   let finish lane =
     match lanes.(lane) with
@@ -403,41 +183,30 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
       lanes.(lane) <- None;
       Gb_par.Budget.release budget ~bytes:run.reserved;
       let t = now () in
-      let r = run.r_req in
-      let ok = (not run.cancelled) && not r.fail in
-      Breaker.record (breaker r.engine) ~ok;
-      if Tele.enabled () then
-        Tele.set g_mem [] (float_of_int (Gb_par.Budget.used budget));
-      if Gb_obs.Obs.active () then begin
-        Gb_obs.Obs.Span.emit ~cat:"serve" ~name:"exec"
-          ~attrs:
-            [
-              ("trace", Gb_obs.Obs.Int r.trace);
-              ("id", Gb_obs.Obs.Int r.id);
-              ("attempt", Gb_obs.Obs.Int r.attempt);
-              ("engine", Gb_obs.Obs.Str r.engine);
-              ("ok", Gb_obs.Obs.Bool ok);
-            ]
+      let e = run.entry in
+      let ok = (not run.cancelled) && not e.payload.fail in
+      Admission.record adm e ~ok;
+      Admission.mem_reserved (Gb_par.Budget.used budget);
+      if Obs.active () then begin
+        Obs.Span.emit ~cat:"serve" ~name:"exec"
+          ~attrs:(span_attrs e.req @ [ ("ok", Obs.Bool ok) ])
           ~tid:(lane + 1) ~t0:run.started_s ~t1:t ();
         if run.cancelled then
-          Gb_obs.Obs.Span.instant ~track:Gb_obs.Obs.Sim ~ts:t
+          Obs.Span.instant ~track:Obs.Sim ~ts:t
             ~attrs:
               [
-                ("trace", Gb_obs.Obs.Int r.trace);
-                ("id", Gb_obs.Obs.Int r.id);
-                ("engine", Gb_obs.Obs.Str r.engine);
+                ("trace", Obs.Int e.req.trace);
+                ("id", Obs.Int e.req.id);
+                ("engine", Obs.Str e.req.engine);
               ]
             ~name:"serve.cancel" ()
       end;
       let disposition =
         if run.cancelled then Outcome.Deadline_exceeded `Running
-        else if r.fail then Outcome.Served Outcome.Failed_
+        else if e.payload.fail then Outcome.Served Outcome.Failed_
         else Outcome.Served Outcome.Ok_
       in
-      respond
-        (base_response r ~finished:t
-           ~wait:(run.started_s -. r.arrival_s)
-           ~exec:(t -. run.started_s) disposition);
+      Admission.respond adm e ~started:run.started_s ~finished:t disposition;
       dispatch ()
   in
   List.iter (fun r -> push_event r.arrival_s (Arrive r)) requests;
@@ -453,15 +222,12 @@ let run ?(config = default_config) ?(on_response = fun _ -> []) requests =
   (* Anything still queued when the arrival stream dries up gets
      dispatched by the Finish cascade above; a non-empty queue here
      would mean a lost wakeup. *)
-  assert (!queue = []);
+  assert (Admission.length adm = 0);
   let stats =
     {
       max_queue_len = !max_queue_len;
       max_mem_used = !max_mem_used;
-      breaker_trips =
-        Hashtbl.fold (fun name b acc -> (name, Breaker.trips b) :: acc)
-          breakers []
-        |> List.sort compare;
+      breaker_trips = Admission.breaker_trips adm;
     }
   in
   (List.sort (fun a b -> compare a.Outcome.id b.Outcome.id) !responses, stats)

@@ -317,6 +317,21 @@ let test_errored_counts_as_infinite () =
   Alcotest.(check (option (float 0.))) "infinite" (Some infinity)
     (Harness.total_seconds c)
 
+let test_parse_budget_mb () =
+  let ok s n = Alcotest.(check bool) s true (Harness.parse_budget_mb s = Ok n) in
+  let bad s =
+    Alcotest.(check bool) s true (Result.is_error (Harness.parse_budget_mb s))
+  in
+  ok "4096" 4096;
+  ok " 1 " 1;
+  ok (string_of_int (max_int / (1024 * 1024))) (max_int / (1024 * 1024));
+  bad "0";
+  bad "-5";
+  bad "abc";
+  bad "";
+  bad "1.5";
+  bad (string_of_int ((max_int / (1024 * 1024)) + 1))
+
 let suite =
   [
     ("q1 cross-engine agreement", `Quick, test_q1_agreement);
@@ -335,5 +350,6 @@ let suite =
     ("harness outcome mapping", `Quick, test_harness_total_seconds);
     ("degenerate selection errors", `Quick, test_degenerate_selection_reports_error);
     ("errored counts as infinite", `Quick, test_errored_counts_as_infinite);
+    ("memory budget parsing", `Quick, test_parse_budget_mb);
   ]
 

@@ -1,14 +1,12 @@
 (* Property-based checks on the linear-algebra kernels: QR orthogonality,
-   SVD reconstruction, Lanczos against the dense Jacobi eigensolver on
-   random symmetric matrices, and Q2's top-fraction selection against the
+   SVD reconstruction, parallel kernels against sequential ones, the
+   streaming moment sketches, and Q2's top-fraction selection against the
    full stable sort it replaced. *)
 
 module Mat = Gb_linalg.Mat
 module Blas = Gb_linalg.Blas
 module Qr = Gb_linalg.Qr
 module Svd = Gb_linalg.Svd
-module Lanczos = Gb_linalg.Lanczos
-module Eigen = Gb_linalg.Eigen
 module Covariance = Gb_linalg.Covariance
 module Prng = Gb_util.Prng
 
@@ -63,35 +61,6 @@ let prop_svd_descending =
         svd.Svd.s;
       !ok)
 
-let arb_sym =
-  QCheck.make
-    ~print:(fun (n, s) -> Printf.sprintf "%dx%d seed %Ld" n n s)
-    QCheck.Gen.(pair (int_range 3 15) seed_gen)
-
-(* B·Bᵀ: symmetric positive semi-definite with a generic spectrum. *)
-let random_sym n seed = Blas.aat (random_mat n n seed)
-
-let prop_lanczos_matches_dense =
-  QCheck.Test.make ~name:"Lanczos matches dense Jacobi eigenvalues" ~count:60
-    arb_sym (fun (n, seed) ->
-      let a = random_sym n seed in
-      let k = min n 5 in
-      let lz = Lanczos.top_eigen ~rng:(Prng.create 2L) a k in
-      let dense = Eigen.eigenvalues a in
-      let scale = Float.max 1. (Float.abs dense.(0)) in
-      let ok = ref true in
-      for i = 0 to k - 1 do
-        if Float.abs (lz.Lanczos.eigenvalues.(i) -. dense.(i)) /. scale > 1e-7
-        then ok := false
-      done;
-      if !ok then true
-      else
-        QCheck.Test.fail_reportf "lanczos %s vs dense %s"
-          (String.concat " "
-             (Array.to_list (Array.map (Printf.sprintf "%.9g") lz.Lanczos.eigenvalues)))
-          (String.concat " "
-             (Array.to_list
-                (Array.map (Printf.sprintf "%.9g") (Array.sub dense 0 k)))))
 
 (* --- parallel kernels vs sequential, via the conformance comparators ---
 
@@ -171,17 +140,6 @@ let prop_parallel_covariance_conforms =
           QCheck.Test.fail_reportf
             "covariance at %d domains diverges by %g under approximate tol"
             jobs d)
-
-let prop_eigen_trace =
-  QCheck.Test.make ~name:"dense eigenvalues sum to the trace" ~count:100
-    arb_sym (fun (n, seed) ->
-      let a = random_sym n seed in
-      let trace = ref 0. in
-      for i = 0 to n - 1 do
-        trace := !trace +. Mat.get a i i
-      done;
-      let sum = Array.fold_left ( +. ) 0. (Eigen.eigenvalues a) in
-      Float.abs (sum -. !trace) /. Float.max 1. (Float.abs !trace) < 1e-9)
 
 (* Mergeable-moment laws behind the streaming covariance maintainer:
    sketching arbitrary batch splits of an arbitrary row permutation and
@@ -326,8 +284,6 @@ let suite =
       prop_qr_reproduces;
       prop_svd_reconstructs;
       prop_svd_descending;
-      prop_lanczos_matches_dense;
-      prop_eigen_trace;
       prop_parallel_gemm_bitwise;
       prop_parallel_covariance_conforms;
       prop_moments_merge_covariance;

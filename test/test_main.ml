@@ -4,7 +4,6 @@ let () =
       ("util", Test_util.suite);
       ("ranges", Test_ranges.suite);
       ("linalg", Test_linalg.suite);
-      ("linalg-dense", Test_linalg2.suite);
       ("stats", Test_stats.suite);
       ("stats-tests", Test_stats2.suite);
       ("bicluster", Test_bicluster.suite);
@@ -16,8 +15,6 @@ let () =
       ("storage", Test_storage.suite);
       ("dataframe", Test_dataframe.suite);
       ("arraydb", Test_arraydb.suite);
-      ("array-ops", Test_array_ops.suite);
-      ("sparse", Test_sparse.suite);
       ("mapreduce", Test_mapreduce.suite);
       ("cluster", Test_cluster.suite);
       ("fault", Test_fault.suite);

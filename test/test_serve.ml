@@ -7,6 +7,7 @@
 open Genbase
 module Serve = Gb_serve
 module Server = Gb_serve.Server
+module Admission = Gb_serve.Admission
 module Outcome = Gb_serve.Outcome
 module Breaker = Gb_serve.Breaker
 module Client = Gb_serve.Client
@@ -90,7 +91,7 @@ let test_burst_shedding_exact () =
      deadline (served). At t=2, r5 dispatches with zero budget left and
      is cancelled on the spot. *)
   let config =
-    { Server.default_config with lanes = 2; queue_depth = 3; policy = Server.Fifo }
+    { Server.default_config with lanes = 2; queue_depth = 3; policy = Admission.Fifo }
   in
   let requests =
     List.init 20 (fun i -> req ~id:(i + 1) ~deadline:2. ~service:1. ())
@@ -139,9 +140,9 @@ let test_sjf_order () =
          responses)
   in
   Alcotest.(check (list int)) "FIFO finishes in arrival order" [ 1; 2; 3; 4 ]
-    (mk Server.Fifo);
+    (mk Admission.Fifo);
   Alcotest.(check (list int)) "SJF finishes cheapest-first" [ 1; 4; 3; 2 ]
-    (mk Server.Sjf)
+    (mk Admission.Sjf)
 
 let test_memory_admission () =
   (* Budget fits one heavy query at a time: the second waits for the
@@ -599,7 +600,7 @@ let test_live_sheds_and_serves () =
     {
       Serve.Live.lanes = 1;
       queue_depth = 1;
-      policy = Server.Fifo;
+      policy = Admission.Fifo;
       breaker = Breaker.default_config;
       budget = Gb_par.Budget.create ~bytes:max_int;
     }
@@ -646,6 +647,264 @@ let test_live_sheds_and_serves () =
           true
       | _ -> ())
     responses
+
+(* --- one admission core, two drivers --- *)
+
+(* An engine whose executions block until the test opens the gate, so a
+   single live lane holds its query exactly as long as the test wants.
+   The request's submission number rides in [params.svd_k] and is logged
+   when execution starts; [func_threshold < 0] makes the execution fail.
+   Neither changes the request's SJF estimate. *)
+type gate = {
+  g_m : Mutex.t;
+  g_cv : Condition.t;
+  mutable g_open : bool;
+  mutable g_started : int list;  (** submission numbers, latest first *)
+}
+
+let gated gate name =
+  {
+    Engine.name;
+    kind = `Single_node;
+    supports = (fun _ -> true);
+    load =
+      (fun _ _ ~params ~timeout_s:_ ->
+        Mutex.lock gate.g_m;
+        gate.g_started <- params.Query.svd_k :: gate.g_started;
+        Condition.broadcast gate.g_cv;
+        while not gate.g_open do
+          Condition.wait gate.g_cv gate.g_m
+        done;
+        Mutex.unlock gate.g_m;
+        if params.Query.func_threshold < 0 then Engine.Errored "injected"
+        else
+          Engine.completed
+            { Engine.dm = 0.; analytics = 0. }
+            (Engine.Singular_values [| 1. |]));
+  }
+
+(* Each wave is a plug request (its own engine, so its breaker never
+   opens) followed by a burst of requests on the breaker-watched engine,
+   all submitted while the plug holds the single lane; the wave then
+   drains before the next one starts. Requests are numbered 1.. in
+   submission order. *)
+type replay = {
+  depth : int;
+  policy : Admission.policy;
+  breaker : Breaker.config;
+  waves : bool list list;  (** per wave, the [fail] flag of each request *)
+}
+
+(* Per-request dispositions in submission order, and the submission
+   numbers of the executed requests in execution order. *)
+type run = { dispositions : Outcome.disposition list; executed : int list }
+
+let sim_replay c =
+  let config =
+    {
+      Server.lanes = 1;
+      queue_depth = c.depth;
+      policy = c.policy;
+      mem_bytes = 1 lsl 40;
+      breaker = c.breaker;
+    }
+  in
+  let next = ref 0 in
+  let mk ~engine ~at fail =
+    incr next;
+    req ~id:!next ~engine ~arrival:at ~deadline:1e9 ~service:1. ~fail ()
+  in
+  let requests =
+    List.concat
+      (List.mapi
+         (fun k wave ->
+           let at = 100. *. float_of_int k in
+           let plug = mk ~engine:"Plug" ~at false in
+           plug :: List.map (mk ~engine:"Gated" ~at) wave)
+         c.waves)
+  in
+  let responses, _ = Server.run ~config requests in
+  let started r = r.Outcome.submitted_s +. r.Outcome.queue_wait_s in
+  {
+    dispositions = List.map disposition responses;
+    executed =
+      List.filter
+        (fun r ->
+          match disposition r with Outcome.Served _ -> true | _ -> false)
+        responses
+      |> List.sort (fun a b -> Float.compare (started a) (started b))
+      |> List.map (fun r -> r.Outcome.id);
+  }
+
+let live_replay c =
+  let gate =
+    { g_m = Mutex.create (); g_cv = Condition.create (); g_open = false;
+      g_started = [] }
+  in
+  let plug = gated gate "Plug" and watched = gated gate "Gated" in
+  let config =
+    {
+      Serve.Live.lanes = 1;
+      queue_depth = c.depth;
+      policy = c.policy;
+      breaker = c.breaker;
+      budget = Gb_par.Budget.create ~bytes:max_int;
+    }
+  in
+  let t = Serve.Live.create ~config () in
+  let next = ref 0 in
+  let submit engine fail =
+    incr next;
+    let params =
+      {
+        Query.default_params with
+        Query.svd_k = !next;
+        func_threshold =
+          (if fail then -1 else Query.default_params.Query.func_threshold);
+      }
+    in
+    Serve.Live.submit t ~engine ~ds:tiny ~params ~deadline_s:1e6 Query.Q4_svd
+  in
+  let with_gate f =
+    Mutex.lock gate.g_m;
+    let v = f () in
+    Mutex.unlock gate.g_m;
+    v
+  in
+  let responses =
+    List.concat_map
+      (fun wave ->
+        with_gate (fun () -> gate.g_open <- false);
+        let before = with_gate (fun () -> List.length gate.g_started) in
+        let p = submit plug false in
+        (* On an empty queue the plug is admitted unless the queue has
+           no room at all; wait for the lane to hold it. *)
+        if c.depth > 0 then
+          with_gate (fun () ->
+              while List.length gate.g_started = before do
+                Condition.wait gate.g_cv gate.g_m
+              done);
+        let burst = List.map (submit watched) wave in
+        with_gate (fun () ->
+            gate.g_open <- true;
+            Condition.broadcast gate.g_cv);
+        List.map Serve.Live.await (p :: burst))
+      c.waves
+  in
+  Serve.Live.shutdown t;
+  { dispositions = List.map disposition responses;
+    executed = List.rev gate.g_started }
+
+let gen_replay =
+  let open QCheck.Gen in
+  let* depth = int_range 0 4 in
+  let* policy = oneofl [ Admission.Fifo; Admission.Sjf ] in
+  let* window = int_range 1 4 in
+  let* min_samples = int_range 1 window in
+  let* failure_threshold = oneofl [ 0.5; 1. ] in
+  let* cooldown_s = oneofl [ 0.; 1e9 ] in
+  let* half_open_probes = int_range 1 2 in
+  let* waves = list_size (int_range 1 5) (list_size (int_range 1 6) bool) in
+  return
+    {
+      depth;
+      policy;
+      breaker =
+        { Breaker.window; min_samples; failure_threshold; cooldown_s;
+          half_open_probes };
+      waves;
+    }
+
+let print_replay c =
+  Printf.sprintf
+    "depth=%d policy=%s window=%d min=%d threshold=%g cooldown=%g probes=%d \
+     waves=[%s]"
+    c.depth
+    (Admission.policy_to_string c.policy)
+    c.breaker.Breaker.window c.breaker.Breaker.min_samples
+    c.breaker.Breaker.failure_threshold c.breaker.Breaker.cooldown_s
+    c.breaker.Breaker.half_open_probes
+    (String.concat "; "
+       (List.map
+          (fun w ->
+            String.concat "" (List.map (fun f -> if f then "F" else "s") w))
+          c.waves))
+
+let print_run r =
+  let label d =
+    Outcome.label
+      { (shed_response ~key:0 ~attempt:1 ()) with Outcome.disposition = d }
+  in
+  Printf.sprintf "[%s] executed [%s]"
+    (String.concat " " (List.map label r.dispositions))
+    (String.concat " " (List.map string_of_int r.executed))
+
+(* The admission core is shared, so the two drivers must make the same
+   decisions: replay one arrival trace through the discrete-event loop
+   and through real worker domains (one lane, released by the gate). *)
+let test_sim_live_agree =
+  QCheck.Test.make
+    ~name:"simulated and live servers agree on every disposition" ~count:40
+    (QCheck.make ~print:print_replay gen_replay)
+    (fun c ->
+      let sim = sim_replay c and live = live_replay c in
+      sim = live
+      || QCheck.Test.fail_reportf "sim  %s\nlive %s" (print_run sim)
+           (print_run live))
+
+(* Every request that reached a decision is counted once and answered
+   once; a submit refused after shutdown is neither. *)
+let test_live_request_accounting () =
+  let total name =
+    List.fold_left
+      (fun acc (f : Gb_obs.Telemetry.family_snap) ->
+        if f.Gb_obs.Telemetry.fam <> name then acc
+        else
+          List.fold_left
+            (fun acc (_, v) ->
+              match v with
+              | Gb_obs.Telemetry.Sample x -> acc +. x
+              | Gb_obs.Telemetry.Hist_sample _ -> acc)
+            acc f.Gb_obs.Telemetry.rows)
+      0.
+      (Gb_obs.Telemetry.snapshot ())
+  in
+  let requests () = total "genbase_serve_requests_total"
+  and responses () = total "genbase_serve_responses_total" in
+  Gb_obs.Telemetry.set_enabled true;
+  Gb_obs.Telemetry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Gb_obs.Telemetry.set_enabled false;
+      Gb_obs.Telemetry.reset ())
+    (fun () ->
+      let config =
+        { (Serve.Live.default_config ()) with Serve.Live.lanes = 1; queue_depth = 1 }
+      in
+      (* A burst on one lane and a one-slot queue: some served, the rest
+         shed; either way each is counted and answered once. *)
+      let t = Serve.Live.create ~config () in
+      let handles =
+        List.init 4 (fun _ ->
+            Serve.Live.submit t ~engine:Engine_r.engine ~ds:tiny ~deadline_s:60.
+              Query.Q1_regression)
+      in
+      List.iter (fun h -> ignore (Serve.Live.await h)) handles;
+      Serve.Live.shutdown t;
+      Alcotest.(check (float 0.)) "four requests counted" 4. (requests ());
+      Alcotest.(check (float 0.)) "requests_total = sum of responses_total"
+        (requests ()) (responses ());
+      let refused =
+        try
+          ignore
+            (Serve.Live.submit t ~engine:Engine_r.engine ~ds:tiny
+               ~deadline_s:60. Query.Q1_regression);
+          false
+        with Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "submit after shutdown refused" true refused;
+      Alcotest.(check (float 0.)) "refused submit not counted" 4. (requests ());
+      Alcotest.(check (float 0.)) "and not answered" 4. (responses ()))
 
 (* --- request-scoped traces, SLO determinism, p99 agreement --- *)
 
@@ -779,9 +1038,11 @@ let suite =
     ("chaos trips breakers", `Quick, test_loadgen_chaos_trips);
     ("ambient deadline checkpoints", `Quick, test_ambient_deadline);
     ("live path sheds and serves", `Quick, test_live_sheds_and_serves);
+    ("live request accounting", `Quick, test_live_request_accounting);
     ("trace ids link admit/queue/exec/retry", `Quick, test_trace_linked_spans);
     ("slo alerts deterministic under chaos", `Quick,
      test_slo_chaos_deterministic);
     ("interpolated p99 agrees with exact", `Quick, test_p99_agreement_overload);
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ test_live_matches_direct ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ test_live_matches_direct; test_sim_live_agree ]
